@@ -35,6 +35,7 @@ mod cache;
 mod catalog;
 mod engine;
 mod error;
+mod exec;
 pub mod expr;
 pub mod faults;
 pub mod interp;
