@@ -68,6 +68,14 @@ fn assert_equivalent(
         let got = engine.query(plan).expect("engine runs");
         assert_eq!(got, reference, "{label}, threads={threads}");
     }
+    // The shared pool runs the same loop bodies through its 'static
+    // closures.
+    let engine = configure(Engine::builder(make_db(42, 50_000, 512)))
+        .worker_pool(3)
+        .tile_rows(2048)
+        .build();
+    let got = engine.query(plan).expect("engine runs");
+    assert_eq!(got, reference, "{label}, worker_pool(3)");
 }
 
 fn scalar_plan() -> LogicalPlan {
@@ -153,15 +161,30 @@ fn semijoin_all_strategies_all_thread_counts() {
                     AggSpec::count("n"),
                 ],
             );
+        let probe_loop = if probe_sel == 80 {
+            "masked probe"
+        } else {
+            "selection-vector probe"
+        };
         for strategy in [
             SemiJoinStrategy::Hash,
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
         ] {
+            let pin = |b: EngineBuilder| b.strategies(StrategyOverrides::pin_semijoin(strategy));
+            let explained = pin(Engine::builder(make_db(42, 50_000, 512)))
+                .build()
+                .explain(&plan)
+                .expect("plans");
+            assert!(
+                explained.strategy.contains(probe_loop),
+                "probe_sel={probe_sel}: {}",
+                explained.strategy
+            );
             assert_equivalent(
                 &plan,
                 &format!("semijoin {strategy:?}, probe_sel={probe_sel}"),
-                |b| b.strategies(StrategyOverrides::pin_semijoin(strategy)),
+                pin,
             );
         }
     }
