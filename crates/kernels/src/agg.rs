@@ -22,14 +22,10 @@ use crate::AsI64;
 /// (the `[OP]` substitution parameter of microbenchmark Q1).
 ///
 /// All arithmetic is explicitly wrapping, so debug and release builds (and
-/// builds with `-C overflow-checks=on`) compute bit-identical results;
-/// [`BinOp::apply_checked`] additionally reports wraparound for the
-/// overflow-detecting kernel variants.
+/// builds with `-C overflow-checks=on`) compute bit-identical results.
 pub trait BinOp {
     /// Apply the operator to widened operands (wrapping on overflow).
     fn apply(a: i64, b: i64) -> i64;
-    /// Apply the operator, reporting whether the result wrapped.
-    fn apply_checked(a: i64, b: i64) -> (i64, bool);
     /// Name used by codegen / reporting.
     const NAME: &'static str;
     /// `true` if the operation is expensive enough to be compute-bound
@@ -43,10 +39,6 @@ impl BinOp for Mul {
     #[inline(always)]
     fn apply(a: i64, b: i64) -> i64 {
         a.wrapping_mul(b)
-    }
-    #[inline(always)]
-    fn apply_checked(a: i64, b: i64) -> (i64, bool) {
-        a.overflowing_mul(b)
     }
     const NAME: &'static str = "*";
     const COMPUTE_BOUND: bool = false;
@@ -64,10 +56,6 @@ impl BinOp for Div {
     #[inline(always)]
     fn apply(a: i64, b: i64) -> i64 {
         a.wrapping_div(b)
-    }
-    #[inline(always)]
-    fn apply_checked(a: i64, b: i64) -> (i64, bool) {
-        a.overflowing_div(b)
     }
     const NAME: &'static str = "/";
     const COMPUTE_BOUND: bool = true;
@@ -121,45 +109,9 @@ pub fn sum_op_masked<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], cmp: &[u8])
     sum
 }
 
-/// Value masking with overflow detection: identical accumulation to
-/// [`sum_op_masked`], but reports whether any *qualifying* tuple's operator
-/// application, or the running sum, wrapped around `i64`. Wraparound in
-/// masked-out (wasted-work) tuples is ignored — it cannot affect the
-/// result.
-#[inline]
-pub fn sum_op_masked_checked<A: AsI64, B: AsI64, O: BinOp>(
-    a: &[A],
-    b: &[B],
-    cmp: &[u8],
-) -> (i64, bool) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), cmp.len());
-    let mut sum = 0i64;
-    let mut overflow = false;
-    for j in 0..a.len() {
-        let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
-        let (s, sum_wrapped) = sum.overflowing_add(v * cmp[j] as i64);
-        sum = s;
-        overflow |= (op_wrapped & (cmp[j] != 0)) | sum_wrapped;
-    }
-    (sum, overflow)
-}
-
-/// **Access merging**, first loop (Fig. 5 bottom): fuse the predicate result
-/// into the shared attribute's value — `tmp[j] = x[j] * (x[j] < lit)` — so
-/// the attribute is accessed exactly once.
-#[inline]
-pub fn merge_lt<T: AsI64 + PartialOrd + Copy>(x: &[T], lit: T, tmp: &mut [i64]) {
-    assert_eq!(x.len(), tmp.len());
-    for (t, &v) in tmp.iter_mut().zip(x) {
-        // 0/1 mask product: cannot overflow.
-        *t = v.widen() * (v < lit) as i64;
-    }
-}
-
-/// Access merging with an externally computed mask (used when the predicate
-/// has additional conjuncts beyond the shared attribute):
-/// `tmp[j] = x[j] * cmp[j]`.
+/// **Access merging**, first loop (Fig. 5 bottom): fuse the predicate
+/// result into the shared attribute's value — `tmp[j] = x[j] * cmp[j]` —
+/// so the attribute is accessed exactly once after the prepass.
 #[inline]
 pub fn mask_values<T: AsI64>(x: &[T], cmp: &[u8], tmp: &mut [i64]) {
     assert_eq!(x.len(), cmp.len());
@@ -272,8 +224,10 @@ mod tests {
             .filter(|&j| x[j] < lit)
             .map(|j| x[j] as i64 * a[j] as i64)
             .sum();
+        let mut cmp = vec![0u8; x.len()];
+        predicate::cmp_lt(&x, lit, &mut cmp);
         let mut tmp = vec![0i64; x.len()];
-        merge_lt(&x, lit, &mut tmp);
+        mask_values(&x, &cmp, &mut tmp);
         assert_eq!(sum_product_tmp(&a, &tmp), expected);
     }
 
@@ -286,41 +240,11 @@ mod tests {
             .filter(|&j| x[j] < lit)
             .map(|j| x[j] as i64 * x[j] as i64)
             .sum();
+        let mut cmp = vec![0u8; x.len()];
+        predicate::cmp_lt(&x, lit, &mut cmp);
         let mut tmp = vec![0i64; x.len()];
-        merge_lt(&x, lit, &mut tmp);
+        mask_values(&x, &cmp, &mut tmp);
         assert_eq!(sum_square_tmp(&tmp), expected);
-    }
-
-    #[test]
-    fn mask_values_matches_merge_for_single_conjunct() {
-        let (x, _, _) = mk_data(500);
-        let mut cmp = vec![0u8; x.len()];
-        predicate::cmp_lt(&x, 20, &mut cmp);
-        let mut via_mask = vec![0i64; x.len()];
-        mask_values(&x, &cmp, &mut via_mask);
-        let mut via_merge = vec![0i64; x.len()];
-        merge_lt(&x, 20, &mut via_merge);
-        assert_eq!(via_mask, via_merge);
-    }
-
-    #[test]
-    fn masked_checked_agrees_and_detects_overflow() {
-        // Agrees with the unchecked kernel when nothing overflows.
-        let (x, a, b) = mk_data(1000);
-        let mut cmp = vec![0u8; x.len()];
-        predicate::cmp_lt(&x, 42, &mut cmp);
-        let (sum, ovf) = sum_op_masked_checked::<_, _, Mul>(&a, &b, &cmp);
-        assert!(!ovf);
-        assert_eq!(sum, sum_op_masked::<_, _, Mul>(&a, &b, &cmp));
-        // Overflow in a qualifying tuple is detected...
-        let big = [i64::MAX, 1];
-        let two = [2i64, 1];
-        let (_, ovf) = sum_op_masked_checked::<_, _, Mul>(&big, &two, &[1, 1]);
-        assert!(ovf);
-        // ...but wasted-work overflow in a masked-out tuple is not.
-        let (sum, ovf) = sum_op_masked_checked::<_, _, Mul>(&big, &two, &[0, 1]);
-        assert!(!ovf);
-        assert_eq!(sum, 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use super::program::AggProgram;
 use super::Worker;
 use crate::engine::QueryResult;
 use crate::error::PlanError;
@@ -11,7 +12,6 @@ use crate::metrics::OpMetrics;
 use swole_ht::{AggTable, MergeOp};
 use swole_kernels::{predicate, AccessCounters, TILE};
 use swole_runtime::{charge_or_panic, MemGauge};
-use swole_storage::Table;
 
 /// Thread-local state for scalar aggregation (also the join probes):
 /// accumulator slots plus per-tile scratch buffers.
@@ -31,7 +31,7 @@ pub(crate) struct ScalarAcc {
 impl ScalarAcc {
     /// Worker init: charge the scratch buffers, plus `extra` bytes of
     /// operator state in the same charge, then build the accumulator.
-    pub(crate) fn charged(gauge: &MemGauge, aggs: &[AggSpec], extra: usize) -> ScalarAcc {
+    pub(crate) fn charged(gauge: &MemGauge, aggs: &[AggProgram], extra: usize) -> ScalarAcc {
         charge_or_panic(gauge, ScalarAcc::scratch_bytes(aggs.len()) + extra);
         ScalarAcc {
             acc: aggs
@@ -70,8 +70,7 @@ impl ScalarAcc {
     #[inline(always)]
     pub(crate) fn fold_masked(
         &mut self,
-        aggs: &[AggSpec],
-        table: &Table,
+        aggs: &[AggProgram],
         start: usize,
         len: usize,
         counting: bool,
@@ -85,7 +84,7 @@ impl ScalarAcc {
         for (i, a) in aggs.iter().enumerate() {
             match a.func {
                 AggFunc::Sum => {
-                    a.expr.eval_values(table, start, &mut self.val[..len]);
+                    a.input.eval(start, &mut self.val[..len]);
                     for j in 0..len {
                         // cmp is 0/1, so the product cannot overflow.
                         self.add_sum(i, self.val[j] * self.cmp[j] as i64);
@@ -107,8 +106,7 @@ impl ScalarAcc {
     #[inline(always)]
     pub(crate) fn fold_selected(
         &mut self,
-        aggs: &[AggSpec],
-        table: &Table,
+        aggs: &[AggProgram],
         start: usize,
         len: usize,
         k: usize,
@@ -122,7 +120,7 @@ impl ScalarAcc {
             match a.func {
                 AggFunc::Count => self.acc[i] = self.acc[i].wrapping_add(k as i64),
                 _ => {
-                    a.expr.eval_values(table, start, &mut self.val[..len]);
+                    a.input.eval(start, &mut self.val[..len]);
                     for t in 0..k {
                         let v = self.val[self.idx[t] as usize - start];
                         match a.func {
@@ -228,7 +226,7 @@ impl HashAcc {
     /// Add row `j` of the value tiles to the group at `off`: sums add the
     /// value, counts add one.
     #[inline(always)]
-    pub(crate) fn add_row(&mut self, off: usize, aggs: &[AggSpec], j: usize) {
+    pub(crate) fn add_row(&mut self, off: usize, aggs: &[AggProgram], j: usize) {
         for (i, a) in aggs.iter().enumerate() {
             let add = match a.func {
                 AggFunc::Sum => self.vals[i][j],

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use super::acc::{merge_groups, rows_from_table, scalar_result, GroupJoinAcc, ScalarAcc};
+use super::program::{compile_aggs, MaskProgram};
 use super::{full_scan_op, tile_mask, Exec, Input, Worker};
 use crate::engine::QueryResult;
 use crate::error::PlanError;
@@ -142,14 +143,12 @@ fn build_mask(
     let n = build.len();
     exec.gauge().try_charge(n)?;
     let body = {
-        let build = Arc::clone(build);
-        let filter = build_filter.cloned();
+        let filter = build_filter.map(|f| MaskProgram::compile(f, build));
         move |segs: &mut Vec<(usize, Vec<u8>)>, m_start: usize, m_len: usize| {
             let mut seg = vec![0u8; m_len];
             for (start, len) in tiles_in(m_start, m_len) {
                 tile_mask(
                     filter.as_ref(),
-                    &build,
                     start,
                     &mut seg[start - m_start..start - m_start + len],
                 );
@@ -187,19 +186,18 @@ pub(crate) fn exec_semijoin_agg(
     // Probe phase: scalar accumulation on morsel workers sharing the
     // read-only build side.
     let probe_timer = exec.timer();
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    let programs = compile_aggs(aggs, probe.table);
     let init = {
-        let aggs = Arc::clone(&aggs_arc);
+        let aggs = Arc::clone(&programs);
         move |g: &MemGauge| ScalarAcc::charged(g, &aggs, 0)
     };
     let body = {
-        let table = Arc::clone(probe.table);
-        let filter = probe.filter.cloned();
-        let aggs = aggs_arc;
+        let filter = probe.filter_program();
+        let aggs = programs;
         let fk_src = fk.clone();
         move |w: &mut ScalarAcc, start: usize, len: usize| {
             let fk = fk_src.slice();
-            tile_mask(filter.as_ref(), &table, start, &mut w.cmp[..len]);
+            tile_mask(filter.as_ref(), start, &mut w.cmp[..len]);
             // Fold the join bit into the mask, per build structure.
             match (&side, probe_masked) {
                 (BuildSide::Bitmap(bm), true) => {
@@ -211,7 +209,7 @@ pub(crate) fn exec_semijoin_agg(
                         // aggregated; non-matching lanes are wasted.
                         w.ctr.ht_probes += len as u64;
                     }
-                    w.fold_masked(&aggs, &table, start, len, counting);
+                    w.fold_masked(&aggs, start, len, counting);
                 }
                 (side, _) => {
                     let k = selvec::fill_nobranch(&w.cmp[..len], start as u32, &mut w.idx[..len]);
@@ -222,7 +220,7 @@ pub(crate) fn exec_semijoin_agg(
                     }
                     for (i, a) in aggs.iter().enumerate() {
                         if a.func != AggFunc::Count {
-                            a.expr.eval_values(&table, start, &mut w.val[..len]);
+                            a.input.eval(start, &mut w.val[..len]);
                         }
                         for t in 0..k {
                             let j = w.idx[t] as usize;
@@ -329,9 +327,9 @@ pub(crate) fn exec_multijoin_agg(
         sides.push(side);
     }
     let probe_timer = exec.timer();
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    let programs = compile_aggs(aggs, fact.table);
     let init = {
-        let aggs = Arc::clone(&aggs_arc);
+        let aggs = Arc::clone(&programs);
         move |g: &MemGauge| MultiJoinAcc {
             s: ScalarAcc::charged(g, &aggs, n_edges * 16),
             edge_in: vec![0u64; n_edges],
@@ -339,12 +337,11 @@ pub(crate) fn exec_multijoin_agg(
         }
     };
     let body = {
-        let table = Arc::clone(fact.table);
-        let filter = fact.filter.cloned();
-        let aggs = aggs_arc;
+        let filter = fact.filter_program();
+        let aggs = programs;
         let fks: Vec<FkSource> = edges.iter().map(|e| e.fk.clone()).collect();
         move |w: &mut MultiJoinAcc, start: usize, len: usize| {
-            tile_mask(filter.as_ref(), &table, start, &mut w.s.cmp[..len]);
+            tile_mask(filter.as_ref(), start, &mut w.s.cmp[..len]);
             let mut k = selvec::fill_nobranch(&w.s.cmp[..len], start as u32, &mut w.s.idx[..len]);
             let filtered = k;
             for (ei, side) in sides.iter().enumerate() {
@@ -377,7 +374,7 @@ pub(crate) fn exec_multijoin_agg(
             }
             // Survivors are fully narrowed before accumulation, so min/max
             // see only real qualifying rows.
-            w.s.fold_selected(&aggs, &table, start, len, k, counting);
+            w.s.fold_selected(&aggs, start, len, k, counting);
         }
     };
     let mut partials = exec.tiles(fact.table.len(), fact.filter.is_some(), init, body)?;
@@ -428,15 +425,14 @@ pub(crate) fn exec_groupjoin_agg(
         GroupJoinAcc::new(g, n_aggs, capacity, GroupJoinAcc::scratch_bytes(n_aggs))
     };
     let body = {
-        let table = Arc::clone(probe.table);
-        let aggs: Arc<[AggSpec]> = aggs.to_vec().into();
+        let aggs = compile_aggs(aggs, probe.table);
         let build_cmp = Arc::clone(&build_cmp);
         let fk_src = fk.clone();
         move |w: &mut GroupJoinAcc, start: usize, len: usize| {
             let fk = fk_src.slice();
             for (i, a) in aggs.iter().enumerate() {
                 if a.func != AggFunc::Count {
-                    a.expr.eval_values(&table, start, &mut w.vals[i][..len]);
+                    a.input.eval(start, &mut w.vals[i][..len]);
                 }
             }
             match strategy {

@@ -1,13 +1,15 @@
 //! Execution: the morsel driver and the physical operators it runs.
 //!
 //! `mod.rs` holds the driver ([`Exec`]) and the operator timer; `acc.rs`
-//! the per-worker accumulators, their merges and result building; then
-//! one file per operator family: `scan.rs` (scalar and group-by
+//! the per-worker accumulators, their merges and result building;
+//! `program.rs` the tile programs every operator compiles its expressions
+//! into; then one file per operator family: `scan.rs` (scalar and group-by
 //! aggregation), `join.rs` (semijoin, multi-way join, groupjoin and their
 //! build sides) and `window.rs`.
 
 mod acc;
 mod join;
+mod program;
 mod scan;
 mod window;
 
@@ -23,6 +25,7 @@ use std::time::Instant;
 use crate::error::PlanError;
 use crate::expr::Expr;
 use crate::metrics::{MetricsLevel, OpMetrics};
+use program::MaskProgram;
 use swole_kernels::{tiles_in, AccessCounters};
 use swole_runtime::{ExecCtx, Executor, MemGauge};
 use swole_storage::Table;
@@ -65,6 +68,11 @@ pub(crate) struct Input<'a> {
 impl<'a> Input<'a> {
     pub(crate) fn new(op: &'a str, table: &'a Arc<Table>, filter: Option<&'a Expr>) -> Input<'a> {
         Input { op, table, filter }
+    }
+
+    /// The filter compiled against the input's table, once per execution.
+    fn filter_program(&self) -> Option<MaskProgram> {
+        self.filter.map(|f| MaskProgram::compile(f, self.table))
     }
 }
 
@@ -185,9 +193,9 @@ impl<'a> Exec<'a> {
 }
 
 /// Evaluate the filter (or all-ones) mask for one tile.
-fn tile_mask(filter: Option<&Expr>, table: &Table, start: usize, cmp: &mut [u8]) {
+fn tile_mask(filter: Option<&MaskProgram>, start: usize, cmp: &mut [u8]) {
     match filter {
-        Some(f) => f.eval_mask(table, start, cmp),
+        Some(f) => f.eval(start, cmp),
         None => cmp.fill(1),
     }
 }

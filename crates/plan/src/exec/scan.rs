@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use super::acc::{merge_groups, rows_from_table, scalar_result, GroupAcc, ScalarAcc};
+use super::program::{compile_aggs, ValueProgram};
 use super::{tile_mask, Exec, Input};
 use crate::engine::QueryResult;
 use crate::error::PlanError;
@@ -21,25 +22,24 @@ pub(crate) fn exec_scalar_agg(
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
     let counting = exec.counting();
     let timer = exec.timer();
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    let programs = compile_aggs(aggs, scan.table);
     let init = {
-        let aggs = Arc::clone(&aggs_arc);
+        let aggs = Arc::clone(&programs);
         move |g: &MemGauge| ScalarAcc::charged(g, &aggs, 0)
     };
     let body = {
-        let table = Arc::clone(scan.table);
-        let filter = scan.filter.cloned();
-        let aggs = aggs_arc;
+        let filter = scan.filter_program();
+        let aggs = programs;
         move |w: &mut ScalarAcc, start: usize, len: usize| {
-            tile_mask(filter.as_ref(), &table, start, &mut w.cmp[..len]);
+            tile_mask(filter.as_ref(), start, &mut w.cmp[..len]);
             match strategy {
                 // VM aggregates every lane; the non-qualifying ones are
                 // the pullup's wasted work (§ III-A).
-                AggStrategy::ValueMasking => w.fold_masked(&aggs, &table, start, len, counting),
+                AggStrategy::ValueMasking => w.fold_masked(&aggs, start, len, counting),
                 // Scalar aggregation has no key to mask; hybrid covers both.
                 AggStrategy::Hybrid | AggStrategy::KeyMasking => {
                     let k = selvec::fill_nobranch(&w.cmp[..len], start as u32, &mut w.idx[..len]);
-                    w.fold_selected(&aggs, &table, start, len, k, counting);
+                    w.fold_selected(&aggs, start, len, k, counting);
                 }
             }
         }
@@ -70,17 +70,16 @@ pub(crate) fn exec_groupby_agg(
     let timer = exec.timer();
     let init = move |g: &MemGauge| GroupAcc::new(g, n_aggs);
     let body = {
-        let table = Arc::clone(table);
-        let filter = scan.filter.cloned();
-        let key_expr = Expr::col(group_by);
-        let aggs: Arc<[AggSpec]> = aggs.to_vec().into();
+        let filter = scan.filter_program();
+        let key = ValueProgram::compile(&Expr::col(group_by), table);
+        let aggs = compile_aggs(aggs, table);
         move |w: &mut GroupAcc, start: usize, len: usize| {
-            tile_mask(filter.as_ref(), &table, start, &mut w.cmp[..len]);
-            key_expr.eval_values(&table, start, &mut w.keys[..len]);
+            tile_mask(filter.as_ref(), start, &mut w.cmp[..len]);
+            key.eval(start, &mut w.keys[..len]);
             let h = &mut w.h;
             for (i, a) in aggs.iter().enumerate() {
                 if a.func != AggFunc::Count {
-                    a.expr.eval_values(&table, start, &mut h.vals[i][..len]);
+                    a.input.eval(start, &mut h.vals[i][..len]);
                 }
             }
             if counting && strategy != AggStrategy::Hybrid {

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use super::program::ValueProgram;
 use super::{tile_mask, Exec, Input, Worker};
 use crate::engine::QueryResult;
 use crate::error::PlanError;
@@ -39,11 +40,12 @@ impl Worker for WinScan {
 }
 
 /// Evaluate `expr` for the (ascending) qualifying row ids, tile at a time,
-/// reusing the engine's tile evaluation so dictionary codes, decimals and
-/// CASE expressions behave exactly as on the aggregate paths.
+/// through the same tile program as the aggregate paths, so dictionary
+/// codes, decimals and CASE expressions behave exactly as they do there.
 fn gather_expr(table: &Arc<Table>, expr: &Expr, row_ids: &[u32]) -> Vec<i64> {
+    let program = ValueProgram::compile(expr, table);
     let mut out = Vec::with_capacity(row_ids.len());
-    let mut buf = vec![0i64; TILE];
+    let mut buf = [0i64; TILE];
     let mut i = 0;
     for (start, len) in tiles(table.len()) {
         if i >= row_ids.len() {
@@ -53,7 +55,7 @@ fn gather_expr(table: &Arc<Table>, expr: &Expr, row_ids: &[u32]) -> Vec<i64> {
         if (row_ids[i] as usize) >= end {
             continue;
         }
-        expr.eval_values(table, start, &mut buf[..len]);
+        program.eval(start, &mut buf[..len]);
         while i < row_ids.len() && (row_ids[i] as usize) < end {
             out.push(buf[row_ids[i] as usize - start]);
             i += 1;
@@ -103,10 +105,9 @@ pub(crate) fn exec_window(
         }
     };
     let body = {
-        let table = Arc::clone(table);
-        let filter = scan.filter.cloned();
+        let filter = scan.filter_program();
         move |w: &mut WinScan, start: usize, len: usize| {
-            tile_mask(filter.as_ref(), &table, start, &mut w.cmp[..len]);
+            tile_mask(filter.as_ref(), start, &mut w.cmp[..len]);
             let before = w.rows.len();
             selvec::append_nobranch(&w.cmp[..len], start as u32, &mut w.rows);
             if counting {

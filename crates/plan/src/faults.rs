@@ -9,6 +9,6 @@
 
 pub use swole_runtime::faults::{
     disarm_all, inject_alloc_failure_at_charge, inject_clock_skew, inject_panic_at_morsel,
-    inject_uncharged_alloc, schedule_active, take_uncharged_alloc, ChaosEvent, ChaosSchedule,
-    FaultGuard,
+    inject_uncharged_alloc, park_at_morsel, schedule_active, take_uncharged_alloc, ChaosEvent,
+    ChaosSchedule, FaultGuard, ParkGuard,
 };

@@ -157,6 +157,7 @@ where
                 return Ok(local);
             };
             faults::maybe_panic_at_morsel(index);
+            faults::maybe_park_at_morsel(index, ctx);
             body(&mut local, start, len);
             ctx.morsel_done();
         }
@@ -365,6 +366,7 @@ where
         };
         let run = catch_unwind(AssertUnwindSafe(|| {
             faults::maybe_panic_at_morsel(index);
+            faults::maybe_park_at_morsel(index, &self.ctx);
             let mut acc = self.checkout();
             (self.body)(&mut acc, start, len);
             self.ctx.morsel_done();

@@ -86,6 +86,18 @@ impl Table {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, c)| c)
     }
 
+    /// Position of a column in insertion order, for callers that resolve a
+    /// name once and then address the column by index.
+    pub fn column_index(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|(n, _)| n == name)
+    }
+
+    /// The column at position `i` (see [`Table::column_index`]). Panics if
+    /// `i` is out of range.
+    pub fn column_at(&self, i: usize) -> &ColumnData {
+        &self.columns[i].1
+    }
+
     /// Look up a column by name, panicking with a useful message otherwise.
     pub fn column_required(&self, name: &str) -> &ColumnData {
         self.column(name).unwrap_or_else(|| {
